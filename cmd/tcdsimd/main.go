@@ -39,7 +39,7 @@ func main() {
 		CacheEntries: *cacheEntries,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "tcdsimd: listening on %s (%d workers)\n", *addr, srv.Workers())
@@ -65,4 +65,30 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "tcdsimd: clean shutdown")
+}
+
+// Connection timeouts that keep slow or idle clients from pinning the
+// daemon's connections: a client gets readHeaderTimeout to send its
+// request header and readTimeout to finish the whole request (job specs
+// are small), and a keep-alive connection is closed after idleTimeout
+// without a new request. readTimeout bounds only the upload: net/http
+// lifts the read deadline once the request body is read, so an SSE
+// stream or a ?wait=1 submit outlives it.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server with the timeouts above.
+// It sets no WriteTimeout: an SSE job stream stays open for the job's
+// whole life, and a write deadline would cut it off mid-run.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -177,19 +177,15 @@ func schedChurn(depth int, span int64, mk func() *sim.Scheduler) func() (uint64,
 		r := rng.New(11)
 		s := mk()
 		ids := make([]sim.EventID, depth)
-		// Every event re-pushes itself when it fires, carrying its slot
-		// in a preallocated pointer arg, so the queue holds exactly
-		// depth events throughout and pops are matched by pushes.
-		type slot struct{ i int }
-		slots := make([]slot, depth)
-		var refill func(any)
-		refill = func(a any) {
-			sl := a.(*slot)
-			ids[sl.i] = s.AtArg(s.Now()+1+units.Time(r.Intn(int(span))), refill, a)
-		}
+		// Every event re-pushes itself when it fires, carrying its index
+		// as the handler argument, so the queue holds exactly depth
+		// events throughout and pops are matched by pushes.
+		var refill sim.Handler
+		refill = s.Register(func(i uint64) {
+			ids[i] = s.AtH(s.Now()+1+units.Time(r.Intn(int(span))), refill, i)
+		})
 		for i := range ids {
-			slots[i].i = i
-			ids[i] = s.AtArg(units.Time(1+r.Intn(int(span))), refill, &slots[i])
+			ids[i] = s.AtH(units.Time(1+r.Intn(int(span))), refill, uint64(i))
 		}
 		ops := uint64(depth)
 		gap := units.Time(span / int64(depth))
@@ -202,7 +198,7 @@ func schedChurn(depth int, span int64, mk func() *sim.Scheduler) func() (uint64,
 			case 1: // cancel + fresh push
 				j := r.Intn(depth)
 				s.Cancel(ids[j])
-				ids[j] = s.AtArg(s.Now()+1+units.Time(r.Intn(int(span))), refill, &slots[j])
+				ids[j] = s.AtH(s.Now()+1+units.Time(r.Intn(int(span))), refill, uint64(j))
 				ops += 2
 			default: // advance: pops ~1 event, which re-pushes itself
 				s.RunUntil(s.Now() + gap)

@@ -166,34 +166,6 @@ func DefaultConfig() Config {
 	return Config{Priorities: 1}
 }
 
-// fifo is an allocation-friendly packet queue.
-type fifo struct {
-	buf  []*packet.Packet
-	head int
-}
-
-func (f *fifo) push(p *packet.Packet) { f.buf = append(f.buf, p) }
-func (f *fifo) empty() bool           { return f.head >= len(f.buf) }
-func (f *fifo) len() int              { return len(f.buf) - f.head }
-func (f *fifo) peek() *packet.Packet  { return f.buf[f.head] }
-func (f *fifo) pop() *packet.Packet {
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	} else if f.head > 1024 && f.head*2 > len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		for i := n; i < len(f.buf); i++ {
-			f.buf[i] = nil
-		}
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	return p
-}
-
 // Port is one side of a link: it owns the egress machinery toward its
 // peer and the ingress accounting for traffic from its peer.
 type Port struct {
@@ -218,28 +190,20 @@ type Port struct {
 
 	// Egress. In OutputQueued mode queues[prio] is the FIFO; in
 	// InputQueuedVoQ mode voqs[prio][inputPort] are the virtual output
-	// queues and rr[prio] the round-robin arbitration pointer.
-	queues []fifo
-	voqs   [][]fifo
+	// queues and rr[prio] the round-robin arbitration pointer. Queues
+	// hold arena handles, not pointers, so no push or pop pays a GC
+	// write barrier.
+	queues []packet.Queue
+	voqs   [][]packet.Queue
 	rr     []int
 	gate   TxGate
 	dets   []Detector
 	src    Source
 
-	// Per-port scratch, preallocated at creation so the transmit hot path
-	// schedules no fresh closures: txPkt is the packet currently being
-	// serialized (a port serializes one packet at a time), txDoneFn the
-	// serialization-complete callback, wakeFn the source-wake callback
-	// (validated against wakeAt, so stale wakes are no-ops). receiveFn
-	// and enqueueFn are the typed-arg event callbacks for the per-packet
-	// link-propagation and switch-forwarding delays: several packets can
-	// be in flight at once, so the packet travels as the event argument
-	// rather than in port scratch — and scheduling mints no closure.
-	txPkt     *packet.Packet
-	txDoneFn  func()
-	wakeFn    func()
-	receiveFn func(any)
-	enqueueFn func(any)
+	// txPkt is the handle of the packet currently being serialized (a
+	// port serializes one packet at a time); it is valid while the
+	// port's busy flag is set.
+	txPkt packet.Handle
 
 	// Ingress.
 	meter RxMeter
@@ -390,31 +354,34 @@ func (p *Port) SendCtrl(f CtrlFrame) {
 		rec.Record(obs.Event{At: now, Kind: kind, Port: p.Label(), Prio: f.Prio, Flow: -1, Val: f.FCCL})
 	}
 	n := p.net
-	var ci *ctrlInflight
+	var ci uint32
 	if k := len(n.ctrlFree); k > 0 {
 		ci = n.ctrlFree[k-1]
 		n.ctrlFree = n.ctrlFree[:k-1]
 	} else {
-		ci = &ctrlInflight{}
+		ci = uint32(len(n.ctrl))
+		n.ctrl = append(n.ctrl, ctrlInflight{})
 	}
-	ci.to, ci.f = p.Peer, f
-	n.Sched.AfterArg(d, n.ctrlDeliverFn, ci)
+	n.ctrl[ci] = ctrlInflight{to: p.Peer.idx, f: f}
+	n.Sched.AfterH(d, n.hCtrl, uint64(ci))
 }
 
-// ctrlInflight is a control frame on the wire: the destination port and
-// the frame, parked in an event argument. Records are recycled through
-// Network.ctrlFree once delivered.
+// ctrlInflight is a control frame on the wire: the destination port's
+// index and the frame. Records live in Network.ctrl, the delivery event
+// carries the record's index, and delivered records are recycled through
+// Network.ctrlFree. The record is pointer-free, like every other
+// per-event store.
 type ctrlInflight struct {
-	to *Port
+	to int32
 	f  CtrlFrame
 }
 
-// deliverCtrl lands a control frame at its destination port's gate (or
-// drops it if the link died while the frame was in flight).
-func (n *Network) deliverCtrl(ci *ctrlInflight) {
-	peer, f := ci.to, ci.f
-	ci.to = nil
-	n.ctrlFree = append(n.ctrlFree, ci)
+// deliverCtrl lands control frame record ci at its destination port's
+// gate (or drops it if the link died while the frame was in flight).
+func (n *Network) deliverCtrl(ci uint64) {
+	rec := n.ctrl[ci]
+	n.ctrlFree = append(n.ctrlFree, uint32(ci))
+	peer, f := n.ports[rec.to], rec.f
 	if peer.down {
 		peer.FaultDrops++
 		n.FaultDrops++
@@ -445,7 +412,14 @@ func (p *Port) Kick() {
 }
 
 // Enqueue places a packet on the egress queue (switch forwarding path).
+// The packet must come from the network's arena (NewPacket); anything
+// else panics with a "foreign packet" message.
 func (p *Port) Enqueue(pkt *packet.Packet) {
+	p.enqueue(p.net.own(pkt), pkt)
+}
+
+// enqueue is Enqueue for a packet whose handle h is already known.
+func (p *Port) enqueue(h packet.Handle, pkt *packet.Packet) {
 	prio := pkt.Priority
 	qb := &p.net.qbytes[int(p.pb)+int(prio)]
 	if d, ok := p.dets[prio].(EnqueueDetector); ok {
@@ -463,9 +437,9 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 		}
 	}
 	if p.useVoQ() && pkt.InPort >= 0 {
-		p.voq(prio, int(pkt.InPort)).push(pkt)
+		p.voq(prio, int(pkt.InPort)).Push(h)
 	} else {
-		p.queues[prio].push(pkt)
+		p.queues[prio].Push(h)
 	}
 	*qb += pkt.Size
 	if !p.net.busy[p.idx] {
@@ -480,37 +454,37 @@ func (p *Port) useVoQ() bool {
 
 // voq returns the virtual output queue of one (priority, input) pair,
 // growing the table lazily to the node's port count.
-func (p *Port) voq(prio uint8, in int) *fifo {
+func (p *Port) voq(prio uint8, in int) *packet.Queue {
 	if p.voqs == nil {
-		p.voqs = make([][]fifo, len(p.queues))
+		p.voqs = make([][]packet.Queue, len(p.queues))
 	}
 	if p.voqs[prio] == nil {
-		p.voqs[prio] = make([]fifo, len(p.node.ports))
+		p.voqs[prio] = make([]packet.Queue, len(p.node.ports))
 	}
 	if in >= len(p.voqs[prio]) {
-		grown := make([]fifo, in+1)
+		grown := make([]packet.Queue, in+1)
 		copy(grown, p.voqs[prio])
 		p.voqs[prio] = grown
 	}
 	return &p.voqs[prio][in]
 }
 
-// voqHead picks the next input's head packet for one priority using
-// round-robin arbitration, returning nil when all VoQs are empty.
-func (p *Port) voqHead(prio uint8) (*fifo, *packet.Packet) {
+// voqHead picks the next non-empty virtual output queue for one priority
+// using round-robin arbitration, returning nil when all are empty.
+func (p *Port) voqHead(prio uint8) *packet.Queue {
 	if p.voqs == nil || p.voqs[prio] == nil {
-		return nil, nil
+		return nil
 	}
 	n := len(p.voqs[prio])
 	for k := 0; k < n; k++ {
 		i := (p.rr[prio] + k) % n
 		q := &p.voqs[prio][i]
-		if !q.empty() {
+		if !q.Empty() {
 			p.rr[prio] = (i + 1) % n
-			return q, q.peek()
+			return q
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // recordMark emits a mark event (the caller already bumped the counter).
@@ -559,23 +533,24 @@ func (p *Port) tryTransmit() {
 	now := p.net.Sched.Now()
 	for prio := 0; prio < len(p.queues); prio++ {
 		q := &p.queues[prio]
-		var head *packet.Packet
-		if !q.empty() {
-			head = q.peek()
-		} else if p.useVoQ() {
-			q, head = p.voqHead(uint8(prio))
+		if q.Empty() {
+			if !p.useVoQ() {
+				continue
+			}
+			if q = p.voqHead(uint8(prio)); q == nil {
+				continue
+			}
 		}
-		if head == nil {
-			continue
-		}
+		h := q.Peek()
+		head := p.net.arena.At(h)
 		if p.gate != nil && !p.gate.CanSend(uint8(prio), head.Size) {
 			p.setBlocked(uint8(prio), true)
 			continue
 		}
 		p.setBlocked(uint8(prio), false)
-		q.pop()
+		q.Pop()
 		p.net.qbytes[int(p.pb)+prio] -= head.Size
-		p.transmit(head, true)
+		p.transmit(h, head, true)
 		return
 	}
 	if p.src == nil {
@@ -599,7 +574,7 @@ func (p *Port) tryTransmit() {
 	}
 	p.setBlocked(prio, false)
 	p.src.Advance()
-	p.transmit(pkt, false)
+	p.transmit(p.net.own(pkt), pkt, false)
 }
 
 func (p *Port) scheduleWake(at units.Time) {
@@ -607,7 +582,7 @@ func (p *Port) scheduleWake(at units.Time) {
 		return
 	}
 	p.net.wakeAt[p.idx] = at
-	p.net.Sched.At(at, p.wakeFn)
+	p.net.Sched.AtH(at, p.net.hWake, uint64(p.idx))
 }
 
 // wake runs a scheduled source wake. A wake is stale — superseded by a
@@ -623,10 +598,10 @@ func (p *Port) wake() {
 	}
 }
 
-// transmit serializes pkt onto the wire. fromQueue distinguishes switch
-// forwarding (detectors run, ingress accounting released) from host
-// injection.
-func (p *Port) transmit(pkt *packet.Packet, fromQueue bool) {
+// transmit serializes pkt (arena handle h) onto the wire. fromQueue
+// distinguishes switch forwarding (detectors run, ingress accounting
+// released) from host injection.
+func (p *Port) transmit(h packet.Handle, pkt *packet.Packet, fromQueue bool) {
 	now := p.net.Sched.Now()
 	if fromQueue && p.node.kind == topo.Switch {
 		if d := p.dets[pkt.Priority]; d != nil {
@@ -673,15 +648,15 @@ func (p *Port) transmit(pkt *packet.Packet, fromQueue bool) {
 	if pkt.Kind == packet.Data {
 		p.TxDataBytes += pkt.Size
 	}
-	p.txPkt = pkt
-	p.net.Sched.At(end, p.txDoneFn)
+	p.txPkt = h
+	p.net.Sched.AtH(end, p.net.hTxDone, uint64(p.idx))
 }
 
 // txDone completes a serialization: release ingress accounting, put the
 // packet on the wire, start the next transmission.
 func (p *Port) txDone() {
-	pkt := p.txPkt
-	p.txPkt = nil
+	h := p.txPkt
+	pkt := p.net.arena.At(h)
 	p.net.busy[p.idx] = false
 	// The packet has fully left this node: release ingress accounting.
 	if p.node.kind == topo.Switch && pkt.InPort >= 0 {
@@ -698,16 +673,20 @@ func (p *Port) txDone() {
 		p.dropFaulted(pkt)
 		return
 	}
-	// Propagate to the peer: the packet rides the event as its argument
-	// (several packets can be in flight on one link at once), through the
-	// peer's preallocated receive callback — no per-packet closure.
+	// Propagate to the peer: the packet's handle rides the event argument
+	// (several packets can be in flight on one link at once).
 	p.net.inFlightPayload += pkt.Payload
-	p.net.Sched.AfterArg(p.Delay, p.Peer.receiveFn, pkt)
+	p.net.Sched.AfterH(p.Delay, p.net.hReceive, p.Peer.pktArg(h))
 	p.tryTransmit()
 }
 
-// receive handles a packet arriving from the wire at this (ingress) port.
-func (p *Port) receive(pkt *packet.Packet) {
+// pktArg packs this port and a packet handle into an event argument for
+// the receive and enqueue handlers.
+func (p *Port) pktArg(h packet.Handle) uint64 { return uint64(p.idx)<<32 | uint64(h) }
+
+// receive handles a packet (arena handle h) arriving from the wire at
+// this (ingress) port.
+func (p *Port) receive(h packet.Handle, pkt *packet.Packet) {
 	now := p.net.Sched.Now()
 	if p.down {
 		p.net.inFlightPayload -= pkt.Payload
@@ -762,12 +741,42 @@ func (p *Port) receive(pkt *packet.Packet) {
 	}
 	if p.net.cfg.SwitchDelay > 0 {
 		// The packet stays on the in-flight ledger through the forwarding
-		// pipeline; enqueueFn moves it to queue accounting on arrival.
-		p.net.Sched.AfterArg(p.net.cfg.SwitchDelay, out.enqueueFn, pkt)
+		// pipeline; onEnqueue moves it to queue accounting on arrival.
+		p.net.Sched.AfterH(p.net.cfg.SwitchDelay, p.net.hEnqueue, out.pktArg(h))
 	} else {
 		p.net.inFlightPayload -= pkt.Payload
-		out.Enqueue(pkt)
+		out.enqueue(h, pkt)
 	}
+}
+
+// The network's event handlers. Each is registered once per network;
+// events carry a port index (and for packet events a handle) instead of
+// pointers, so scheduling one stores nothing the garbage collector must
+// track.
+
+func (n *Network) onReceive(arg uint64) {
+	h := packet.Handle(arg)
+	n.ports[arg>>32].receive(h, n.arena.At(h))
+}
+
+func (n *Network) onEnqueue(arg uint64) {
+	h := packet.Handle(arg)
+	pkt := n.arena.At(h)
+	n.inFlightPayload -= pkt.Payload
+	n.ports[arg>>32].enqueue(h, pkt)
+}
+
+func (n *Network) onTxDone(arg uint64) { n.ports[arg].txDone() }
+func (n *Network) onWake(arg uint64)   { n.ports[arg].wake() }
+
+// own returns pkt's arena handle, panicking if pkt did not come from this
+// network's arena: ports hold handles, so a literal or borrowed packet
+// would silently alias an unrelated arena slot.
+func (n *Network) own(pkt *packet.Packet) packet.Handle {
+	if !n.arena.Owns(pkt) {
+		panic(fmt.Sprintf("fabric: foreign packet (%s): packets entering a port must come from Network.NewPacket", pkt))
+	}
+	return pkt.Handle()
 }
 
 type node struct {
@@ -802,12 +811,13 @@ type Network struct {
 	// single-threaded run: packets die at host sinks, where receive
 	// returns their slots for reuse by NewPacket.
 	arena packet.Arena
-	// Control-frame delivery machinery: in-flight frames ride a recycled
-	// ctrlInflight record through one preallocated AfterArg handler, so
-	// the per-frame closure (hot on credit-based fabrics, which send one
-	// update per data packet) is gone.
-	ctrlDeliverFn func(any)
-	ctrlFree      []*ctrlInflight
+	// Event handler ids (see onReceive and friends) and the in-flight
+	// control-frame records: a frame rides a recycled ctrl index through
+	// hCtrl (hot on credit-based fabrics, which send one update per data
+	// packet).
+	hReceive, hEnqueue, hTxDone, hWake, hCtrl sim.Handler
+	ctrl                                      []ctrlInflight
+	ctrlFree                                  []uint32
 
 	// Payload conservation ledger (see fault.go): inFlightPayload is the
 	// flow-payload volume currently on a wire or inside a switch
@@ -840,7 +850,11 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 		cfg.MaxHops = 64
 	}
 	n := &Network{Sched: s, Topo: t, cfg: cfg}
-	n.ctrlDeliverFn = func(arg any) { n.deliverCtrl(arg.(*ctrlInflight)) }
+	n.hReceive = s.Register(n.onReceive)
+	n.hEnqueue = s.Register(n.onEnqueue)
+	n.hTxDone = s.Register(n.onTxDone)
+	n.hWake = s.Register(n.onWake)
+	n.hCtrl = s.Register(n.deliverCtrl)
 	n.nodes = make([]*node, len(t.Nodes))
 	for i, tn := range t.Nodes {
 		n.nodes[i] = &node{id: tn.ID, kind: tn.Kind}
@@ -866,17 +880,9 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 				Delay:  l.Delay,
 				idx:    idx,
 				pb:     idx * int32(cfg.Priorities),
-				queues: make([]fifo, cfg.Priorities),
+				queues: make([]packet.Queue, cfg.Priorities),
 				rr:     make([]int, cfg.Priorities),
 				dets:   make([]Detector, cfg.Priorities),
-			}
-			p.txDoneFn = p.txDone
-			p.wakeFn = p.wake
-			p.receiveFn = func(arg any) { p.receive(arg.(*packet.Packet)) }
-			p.enqueueFn = func(arg any) {
-				pkt := arg.(*packet.Packet)
-				n.inFlightPayload -= pkt.Payload
-				p.Enqueue(pkt)
 			}
 			nd.ports = append(nd.ports, p)
 			n.ports = append(n.ports, p)
@@ -896,6 +902,9 @@ func (n *Network) Config() Config { return n.cfg }
 // (host NICs) fill the fields; the fabric recycles the slab slot when
 // the packet dies at a host sink.
 func (n *Network) NewPacket() *packet.Packet { return n.arena.Get() }
+
+// Packet resolves an arena handle to its packet.
+func (n *Network) Packet(h packet.Handle) *packet.Packet { return n.arena.At(h) }
 
 // FreePacket recycles a packet that will never enter the fabric (e.g. a
 // cached NIC head that was discarded before transmission). The caller

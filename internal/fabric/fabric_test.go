@@ -1,15 +1,19 @@
 package fabric
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/packet"
+	"github.com/tcdnet/tcd/internal/ptrfree"
 	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// listSource is a test Source: packets become ready at fixed times.
+// listSource is a test Source: packets (taken from the network's arena,
+// see mkPkt) become ready at fixed times.
 type listSource struct {
 	at   []units.Time
 	pkts []*packet.Packet
@@ -48,8 +52,12 @@ func star(t *testing.T, rate units.Rate, delay units.Time) (*sim.Scheduler, *Net
 	return s, n, a, b
 }
 
-func mkPkt(src, dst packet.NodeID, size units.ByteSize) *packet.Packet {
-	return &packet.Packet{Src: src, Dst: dst, Kind: packet.Data, Size: size, Code: packet.Capable, InPort: -1}
+// mkPkt takes a data packet from n's arena: ports hold arena handles, so
+// only NewPacket packets may enter one.
+func mkPkt(n *Network, src, dst packet.NodeID, size units.ByteSize) *packet.Packet {
+	p := n.NewPacket()
+	p.Src, p.Dst, p.Kind, p.Size, p.Code, p.InPort = src, dst, packet.Data, size, packet.Capable, -1
+	return p
 }
 
 func TestEndToEndDelivery(t *testing.T) {
@@ -65,7 +73,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	}
 	src := &listSource{
 		at:   []units.Time{0, 0, 0},
-		pkts: []*packet.Packet{mkPkt(a, b, 1000), mkPkt(a, b, 1000), mkPkt(a, b, 1000)},
+		pkts: []*packet.Packet{mkPkt(n, a, b, 1000), mkPkt(n, a, b, 1000), mkPkt(n, a, b, 1000)},
 	}
 	n.HostPort(a).AttachSource(src)
 	s.At(0, func() { n.HostPort(a).Kick() })
@@ -90,7 +98,7 @@ func TestPacingDelaysRelease(t *testing.T) {
 	n.Sink = func(_ packet.NodeID, _ *packet.Packet) { at = append(at, s.Now()) }
 	src := &listSource{
 		at:   []units.Time{0, 10 * units.Microsecond},
-		pkts: []*packet.Packet{mkPkt(a, b, 1000), mkPkt(a, b, 1000)},
+		pkts: []*packet.Packet{mkPkt(n, a, b, 1000), mkPkt(n, a, b, 1000)},
 	}
 	n.HostPort(a).AttachSource(src)
 	s.At(0, func() { n.HostPort(a).Kick() })
@@ -108,7 +116,7 @@ func TestCountersAndQueues(t *testing.T) {
 	n.Sink = func(_ packet.NodeID, _ *packet.Packet) {}
 	src := &listSource{
 		at:   []units.Time{0, 0},
-		pkts: []*packet.Packet{mkPkt(a, b, 1000), mkPkt(a, b, 500)},
+		pkts: []*packet.Packet{mkPkt(n, a, b, 1000), mkPkt(n, a, b, 500)},
 	}
 	hp := n.HostPort(a)
 	hp.AttachSource(src)
@@ -143,7 +151,7 @@ func TestQueueBuildsAtSlowEgress(t *testing.T) {
 	const N = 20
 	src := &listSource{}
 	for i := 0; i < N; i++ {
-		p := mkPkt(a, b, 1000)
+		p := mkPkt(n, a, b, 1000)
 		p.Seq = int32(i)
 		src.pkts = append(src.pkts, p)
 		src.at = append(src.at, 0)
@@ -194,7 +202,7 @@ func TestRoutingLoopPanics(t *testing.T) {
 		return n.NodePorts(s2)[0]
 	}
 	n.Sink = func(_ packet.NodeID, _ *packet.Packet) {}
-	src := &listSource{at: []units.Time{0}, pkts: []*packet.Packet{mkPkt(a, b, 100)}}
+	src := &listSource{at: []units.Time{0}, pkts: []*packet.Packet{mkPkt(n, a, b, 100)}}
 	n.HostPort(a).AttachSource(src)
 	defer func() {
 		if recover() == nil {
@@ -265,7 +273,7 @@ func TestGateBlockingAndOffBookkeeping(t *testing.T) {
 
 	src := &listSource{
 		at:   []units.Time{0, 0},
-		pkts: []*packet.Packet{mkPkt(a, b, 1000), mkPkt(a, b, 1000)},
+		pkts: []*packet.Packet{mkPkt(n, a, b, 1000), mkPkt(n, a, b, 1000)},
 	}
 	n.HostPort(a).AttachSource(src)
 	s.At(0, func() { n.HostPort(a).Kick() })
@@ -313,7 +321,7 @@ func TestCtrlFrameDelayWaitsForSerialization(t *testing.T) {
 	swPort := n.PortToward(sw, a)
 	// Occupy the switch->a port with a packet from t=0 (inject directly).
 	s.At(0, func() {
-		p := mkPkt(sw, a, 1000)
+		p := mkPkt(n, sw, a, 1000)
 		p.InPort = -1
 		swPort.Enqueue(p)
 	})
@@ -344,7 +352,7 @@ func TestDeterministicRuns(t *testing.T) {
 		n.Sink = func(_ packet.NodeID, _ *packet.Packet) {}
 		src := &listSource{}
 		for i := 0; i < 100; i++ {
-			src.pkts = append(src.pkts, mkPkt(a, b, 1000))
+			src.pkts = append(src.pkts, mkPkt(n, a, b, 1000))
 			src.at = append(src.at, units.Time(i)*100*units.Nanosecond)
 		}
 		n.HostPort(a).AttachSource(src)
@@ -397,5 +405,70 @@ func TestForwardingSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Errorf("steady-state forwarding allocates %.2f allocs/op, budget %.1f", allocs, budget)
+	}
+}
+
+// TestForeignPacketPanics: ports hold arena handles, so a packet that did
+// not come from the network's arena must be refused loudly at the port
+// instead of silently aliasing an arena slot — both on the switch
+// enqueue path and on host injection through a Source.
+func TestForeignPacketPanics(t *testing.T) {
+	expectForeign := func(t *testing.T, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "fabric: foreign packet") {
+				t.Fatalf("recovered %v, want a \"fabric: foreign packet\" panic", r)
+			}
+		}()
+		f()
+	}
+	t.Run("enqueue", func(t *testing.T) {
+		_, n, a, b := star(t, 40*units.Gbps, units.Microsecond)
+		egress := n.PortToward(n.Topo.ID("sw"), b)
+		expectForeign(t, func() {
+			egress.Enqueue(&packet.Packet{Src: a, Dst: b, Kind: packet.Data, Size: 1000, InPort: -1})
+		})
+	})
+	t.Run("other-network", func(t *testing.T) {
+		_, n, a, b := star(t, 40*units.Gbps, units.Microsecond)
+		_, other, _, _ := star(t, 40*units.Gbps, units.Microsecond)
+		egress := n.PortToward(n.Topo.ID("sw"), b)
+		expectForeign(t, func() { egress.Enqueue(mkPkt(other, a, b, 1000)) })
+	})
+	t.Run("source", func(t *testing.T) {
+		s, n, a, b := star(t, 40*units.Gbps, units.Microsecond)
+		n.HostPort(a).AttachSource(&listSource{
+			at:   []units.Time{0},
+			pkts: []*packet.Packet{{Src: a, Dst: b, Kind: packet.Data, Size: 1000, InPort: -1}},
+		})
+		s.At(0, func() { n.HostPort(a).Kick() })
+		expectForeign(t, s.Run)
+	})
+}
+
+// TestHotPathRecordsPointerFree guards the per-event stores of the
+// forwarding path: FIFO entries, the in-serialization packet and the
+// in-flight control-frame records must stay pointer-free, or every store
+// pays a GC write barrier again.
+func TestHotPathRecordsPointerFree(t *testing.T) {
+	buf, ok := reflect.TypeOf(packet.Queue{}).FieldByName("buf")
+	if !ok {
+		t.Fatal("packet.Queue has no buf field")
+	}
+	txPkt, ok := reflect.TypeOf(Port{}).FieldByName("txPkt")
+	if !ok {
+		t.Fatal("Port has no txPkt field")
+	}
+	for name, typ := range map[string]reflect.Type{
+		"FIFO element":       buf.Type.Elem(),
+		"Port.txPkt":         txPkt.Type,
+		"ctrlInflight":       reflect.TypeOf(ctrlInflight{}),
+		"ctrlInflight index": reflect.TypeOf(Network{}.ctrlFree).Elem(),
+	} {
+		if ptrfree.HasPointers(typ) {
+			t.Errorf("%s (%v) contains pointers", name, typ)
+		}
 	}
 }

@@ -201,22 +201,21 @@ func (n *Network) InFlightPayload() units.ByteSize { return n.inFlightPayload }
 // FIFOs, virtual output queues, and the frame mid-serialization — in a
 // deterministic order.
 func (p *Port) ForEachQueued(fn func(*packet.Packet)) {
+	a := &p.net.arena
 	for prio := range p.queues {
-		q := &p.queues[prio]
-		for i := q.head; i < len(q.buf); i++ {
-			fn(q.buf[i])
+		for _, h := range p.queues[prio].Handles() {
+			fn(a.At(h))
 		}
 	}
 	for _, per := range p.voqs {
 		for vi := range per {
-			q := &per[vi]
-			for i := q.head; i < len(q.buf); i++ {
-				fn(q.buf[i])
+			for _, h := range per[vi].Handles() {
+				fn(a.At(h))
 			}
 		}
 	}
-	if p.txPkt != nil {
-		fn(p.txPkt)
+	if p.net.busy[p.idx] {
+		fn(a.At(p.txPkt))
 	}
 }
 

@@ -26,11 +26,10 @@ func twoPrioRig(t *testing.T) (*sim.Scheduler, *Network, packet.NodeID, packet.N
 	return s, n, a, b
 }
 
-func prioPkt(src, dst packet.NodeID, prio uint8, seq int32) *packet.Packet {
-	return &packet.Packet{
-		Src: src, Dst: dst, Kind: packet.Data, Size: 1000,
-		Priority: prio, Seq: seq, Code: packet.Capable, InPort: -1,
-	}
+func prioPkt(n *Network, src, dst packet.NodeID, prio uint8, seq int32) *packet.Packet {
+	p := mkPkt(n, src, dst, 1000)
+	p.Priority, p.Seq = prio, seq
+	return p
 }
 
 // Strict priority: queued high-priority (index 0) packets transmit ahead
@@ -46,10 +45,10 @@ func TestStrictPriorityScheduling(t *testing.T) {
 	// enqueue starts transmitting immediately, the rest queue up.
 	s.At(0, func() {
 		for i := 0; i < 3; i++ {
-			egress.Enqueue(prioPkt(a, b, 1, int32(i))) // low priority
+			egress.Enqueue(prioPkt(n, a, b, 1, int32(i))) // low priority
 		}
 		for i := 0; i < 3; i++ {
-			egress.Enqueue(prioPkt(a, b, 0, int32(i))) // high priority
+			egress.Enqueue(prioPkt(n, a, b, 0, int32(i))) // high priority
 		}
 	})
 	s.Run()
@@ -96,8 +95,8 @@ func TestPerPriorityBlocking(t *testing.T) {
 	s.At(0, func() {
 		gate.HandleCtrl(0, CtrlFrame{Kind: CtrlPause, Prio: 0})
 		for i := 0; i < 2; i++ {
-			egress.Enqueue(prioPkt(a, b, 0, int32(i)))
-			egress.Enqueue(prioPkt(a, b, 1, int32(i)))
+			egress.Enqueue(prioPkt(n, a, b, 0, int32(i)))
+			egress.Enqueue(prioPkt(n, a, b, 1, int32(i)))
 		}
 	})
 	s.At(100*units.Microsecond, func() {
@@ -130,9 +129,9 @@ func TestPerPriorityQueueBytes(t *testing.T) {
 	gate.blocked = [2]bool{true, true}
 	egress.AttachGate(gate)
 	s.At(0, func() {
-		egress.Enqueue(prioPkt(a, b, 0, 0))
-		egress.Enqueue(prioPkt(a, b, 1, 0))
-		egress.Enqueue(prioPkt(a, b, 1, 1))
+		egress.Enqueue(prioPkt(n, a, b, 0, 0))
+		egress.Enqueue(prioPkt(n, a, b, 1, 0))
+		egress.Enqueue(prioPkt(n, a, b, 1, 1))
 	})
 	s.RunUntil(10 * units.Microsecond)
 	if egress.QueueBytes(0) != 1000 || egress.QueueBytes(1) != 2000 {

@@ -29,6 +29,14 @@ func voqRig(t *testing.T) (*sim.Scheduler, *Network, [3]packet.NodeID) {
 	return s, n, [3]packet.NodeID{a, b, r}
 }
 
+// voqPkt takes a data packet from n's arena that entered the switch on
+// input port in.
+func voqPkt(n *Network, src, dst packet.NodeID, size units.ByteSize, seq int32, in int) *packet.Packet {
+	p := n.NewPacket()
+	p.Src, p.Dst, p.Kind, p.Size, p.Seq, p.InPort = src, dst, packet.Data, size, seq, int32(in)
+	return p
+}
+
 // Round-robin arbitration interleaves inputs instead of serving strict
 // arrival order: with input A's burst enqueued first and input B's
 // second, deliveries alternate.
@@ -46,11 +54,11 @@ func TestVoQRoundRobinInterleavesInputs(t *testing.T) {
 	inB := n.PortToward(sw, b).Index
 	s.At(0, func() {
 		for i := 0; i < 4; i++ {
-			pa := &packet.Packet{Src: a, Dst: r, Kind: packet.Data, Size: 1000, Seq: int32(i), InPort: int32(inA)}
+			pa := voqPkt(n, a, r, 1000, int32(i), inA)
 			egress.Enqueue(pa)
 		}
 		for i := 0; i < 4; i++ {
-			pb := &packet.Packet{Src: b, Dst: r, Kind: packet.Data, Size: 1000, Seq: int32(i), InPort: int32(inB)}
+			pb := voqPkt(n, b, r, 1000, int32(i), inB)
 			egress.Enqueue(pb)
 		}
 	})
@@ -86,7 +94,7 @@ func TestVoQPreservesPerInputOrder(t *testing.T) {
 	inA := n.PortToward(sw, a).Index
 	s.At(0, func() {
 		for i := 0; i < 10; i++ {
-			egress.Enqueue(&packet.Packet{Src: a, Dst: r, Kind: packet.Data, Size: 1000, Seq: int32(i), InPort: int32(inA)})
+			egress.Enqueue(voqPkt(n, a, r, 1000, int32(i), inA))
 		}
 	})
 	s.Run()
@@ -109,8 +117,8 @@ func TestVoQAggregateQueueBytes(t *testing.T) {
 	inA := n.PortToward(sw, a).Index
 	inB := n.PortToward(sw, b).Index
 	s.At(0, func() {
-		egress.Enqueue(&packet.Packet{Src: a, Dst: r, Kind: packet.Data, Size: 1000, InPort: int32(inA)})
-		egress.Enqueue(&packet.Packet{Src: b, Dst: r, Kind: packet.Data, Size: 500, InPort: int32(inB)})
+		egress.Enqueue(voqPkt(n, a, r, 1000, 0, inA))
+		egress.Enqueue(voqPkt(n, b, r, 500, 0, inB))
 	})
 	s.At(10*units.Microsecond, func() {
 		if got := egress.TotalQueueBytes(); got != 1500 {
@@ -135,7 +143,7 @@ func TestVoQConservation(t *testing.T) {
 	mkSrc := func(h packet.NodeID, count int) *listSource {
 		src := &listSource{}
 		for i := 0; i < count; i++ {
-			src.pkts = append(src.pkts, mkPkt(h, r, 1000))
+			src.pkts = append(src.pkts, mkPkt(n, h, r, 1000))
 			src.at = append(src.at, 0)
 		}
 		return src
@@ -173,7 +181,7 @@ func TestStrandedDetectsDeadlock(t *testing.T) {
 	n.Sink = func(packet.NodeID, *packet.Packet) {}
 	egress := n.PortToward(s1, s2)
 	egress.AttachGate(&testGate{open: false, port: egress})
-	src := &listSource{at: []units.Time{0, 0}, pkts: []*packet.Packet{mkPkt(a, b, 1000), mkPkt(a, b, 1000)}}
+	src := &listSource{at: []units.Time{0, 0}, pkts: []*packet.Packet{mkPkt(n, a, b, 1000), mkPkt(n, a, b, 1000)}}
 	n.HostPort(a).AttachSource(src)
 	s.At(0, func() { n.HostPort(a).Kick() })
 	s.Run()
@@ -191,7 +199,7 @@ func TestStrandedCleanRun(t *testing.T) {
 	s, n, hosts := voqRig(t)
 	a, _, r := hosts[0], hosts[1], hosts[2]
 	n.Sink = func(packet.NodeID, *packet.Packet) {}
-	src := &listSource{at: []units.Time{0}, pkts: []*packet.Packet{mkPkt(a, r, 1000)}}
+	src := &listSource{at: []units.Time{0}, pkts: []*packet.Packet{mkPkt(n, a, r, 1000)}}
 	n.HostPort(a).AttachSource(src)
 	s.At(0, func() { n.HostPort(a).Kick() })
 	s.Run()

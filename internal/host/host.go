@@ -16,6 +16,7 @@ import (
 	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
+	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -141,22 +142,19 @@ type senderFlow struct {
 }
 
 // Endpoint is one host's NIC: sender flows plus a control-packet queue.
+// Queued and cached packets are held as arena handles, not pointers.
 type Endpoint struct {
 	mgr  *Manager
 	id   packet.NodeID
 	port *fabric.Port
 
 	active []*senderFlow
-	ctrlQ  []*packet.Packet
+	ctrlQ  packet.Queue
 
-	// cached head packet so repeated Head calls return one identity.
-	headPkt  *packet.Packet
-	headFlow *senderFlow
-
-	// activateFn is the preallocated flow-activation event callback:
-	// AddFlow schedules it with the flow as the event argument, so
-	// registering many flows (fat-tree workloads) mints no closures.
-	activateFn func(any)
+	// cached head packet so repeated Head calls return one identity
+	// (NoHandle when none is cached); its Flow field names the sender
+	// flow it was built for.
+	headPkt packet.Handle
 }
 
 // Manager owns all endpoints and flows of one simulation.
@@ -170,6 +168,10 @@ type Manager struct {
 	endpoints []*Endpoint
 	flows     []*Flow
 	nextID    packet.FlowID
+	// hActivate is the flow-activation event handler; its argument is
+	// the FlowID, so registering many flows (fat-tree workloads) mints
+	// no closures.
+	hActivate sim.Handler
 
 	// Struct-of-arrays receiver-side flow state, indexed by FlowID (dense
 	// by construction: AddFlow assigns sequential IDs).
@@ -195,12 +197,12 @@ func Install(n *fabric.Network, cfg Config) *Manager {
 		cfg.MTU = 1000
 	}
 	m := &Manager{net: n, cfg: cfg, endpoints: make([]*Endpoint, len(n.Topo.Nodes))}
+	m.hActivate = n.Sched.Register(m.activate)
 	for _, nd := range n.Topo.Nodes {
 		if nd.Kind != topo.Host {
 			continue
 		}
 		ep := &Endpoint{mgr: m, id: nd.ID, port: n.HostPort(nd.ID)}
-		ep.activateFn = func(arg any) { ep.activate(arg.(*Flow)) }
 		ep.port.AttachSource(ep)
 		m.endpoints[nd.ID] = ep
 	}
@@ -253,12 +255,15 @@ func (m *Manager) AddFlow(src, dst packet.NodeID, size units.ByteSize, start uni
 	if ft, ok := ctrl.(obs.FlowTracer); ok && m.Rec != nil {
 		ft.SetTrace(m.Rec, int64(f.ID))
 	}
-	m.net.Sched.AtArg(start, ep.activateFn, f)
+	m.net.Sched.AtH(start, m.hActivate, uint64(f.ID))
 	return f
 }
 
-func (ep *Endpoint) activate(f *Flow) {
-	sf := &senderFlow{flow: f, remaining: f.Size, nextAt: ep.mgr.net.Sched.Now()}
+// activate starts flow id sending at its source endpoint.
+func (m *Manager) activate(id uint64) {
+	f := m.flows[id]
+	ep := m.endpoints[f.Src]
+	sf := &senderFlow{flow: f, remaining: f.Size, nextAt: m.net.Sched.Now()}
 	f.sender = sf
 	ep.active = append(ep.active, sf)
 	ep.port.Kick()
@@ -268,8 +273,8 @@ func (ep *Endpoint) activate(f *Flow) {
 func (ep *Endpoint) Head(now units.Time) (*packet.Packet, units.Time) {
 	// Control packets (ACKs, CNPs) go first; they are tiny and latency
 	// sensitive.
-	if len(ep.ctrlQ) > 0 {
-		return ep.ctrlQ[0], now
+	if !ep.ctrlQ.Empty() {
+		return ep.mgr.net.Packet(ep.ctrlQ.Peek()), now
 	}
 	var best *senderFlow
 	for _, sf := range ep.active {
@@ -286,21 +291,21 @@ func (ep *Endpoint) Head(now units.Time) (*packet.Packet, units.Time) {
 		ep.dropHead()
 		return nil, best.nextAt
 	}
-	if ep.headFlow != best || ep.headPkt == nil {
+	net := ep.mgr.net
+	if ep.headPkt == packet.NoHandle || net.Packet(ep.headPkt).Flow != best.flow.ID {
 		ep.dropHead()
-		ep.headPkt = ep.buildData(best)
-		ep.headFlow = best
+		ep.headPkt = ep.buildData(best).Handle()
 	}
-	return ep.headPkt, best.nextAt
+	return net.Packet(ep.headPkt), best.nextAt
 }
 
 // dropHead discards the cached head packet, recycling it — it was never
 // transmitted, so nothing else references it.
 func (ep *Endpoint) dropHead() {
-	if ep.headPkt != nil {
-		ep.mgr.net.FreePacket(ep.headPkt)
+	if ep.headPkt != packet.NoHandle {
+		ep.mgr.net.FreePacket(ep.mgr.net.Packet(ep.headPkt))
+		ep.headPkt = packet.NoHandle
 	}
-	ep.headPkt, ep.headFlow = nil, nil
 }
 
 func (ep *Endpoint) buildData(sf *senderFlow) *packet.Packet {
@@ -330,17 +335,17 @@ func (ep *Endpoint) buildData(sf *senderFlow) *packet.Packet {
 // Advance implements fabric.Source.
 func (ep *Endpoint) Advance() {
 	now := ep.mgr.net.Sched.Now()
-	if len(ep.ctrlQ) > 0 {
-		ep.ctrlQ = ep.ctrlQ[1:]
+	if !ep.ctrlQ.Empty() {
+		ep.ctrlQ.Pop()
 		return
 	}
-	sf := ep.headFlow
-	if sf == nil || ep.headPkt == nil {
+	if ep.headPkt == packet.NoHandle {
 		panic("host: Advance without Head")
 	}
-	pkt := ep.headPkt
+	pkt := ep.mgr.net.Packet(ep.headPkt)
 	pkt.SentAt = now
-	ep.headPkt, ep.headFlow = nil, nil
+	ep.headPkt = packet.NoHandle
+	sf := ep.mgr.flows[pkt.Flow].sender
 
 	sf.remaining -= pkt.Payload
 	sf.seq++
@@ -374,7 +379,7 @@ func (ep *Endpoint) ActiveFlows() int { return len(ep.active) }
 
 // pushCtrl queues a control packet and wakes the NIC.
 func (ep *Endpoint) pushCtrl(p *packet.Packet) {
-	ep.ctrlQ = append(ep.ctrlQ, p)
+	ep.ctrlQ.Push(p.Handle())
 	// A newly queued control packet preempts a cached data head.
 	ep.dropHead()
 	ep.port.Kick()

@@ -150,8 +150,14 @@ const HeaderBytes units.ByteSize = 48
 const AckBytes units.ByteSize = 64
 
 // Handle is the index-based identity of an arena packet: chunk number in
-// the high bits, offset within the chunk in the low ChunkBits.
+// the high bits, offset within the chunk in the low ChunkBits. The zero
+// Handle is reserved — Arena.Get never issues it — so it can mean "no
+// packet", and a packet that never came from an arena (a zero-value
+// literal) is recognizably foreign.
 type Handle uint32
+
+// NoHandle is the reserved zero Handle.
+const NoHandle Handle = 0
 
 // Arena geometry: packets are allocated in fixed slabs of 2^ChunkBits.
 // 512 × ~72 B ≈ 37 KB per slab — big enough that a fig3-scale run lives
@@ -193,6 +199,9 @@ func (a *Arena) Get() *Packet {
 		h = a.free[n-1]
 		a.free = a.free[:n-1]
 	} else {
+		if a.used == 0 {
+			a.used = 1 // slot 0 backs the reserved NoHandle
+		}
 		h = Handle(a.used)
 		a.used++
 		if int(h>>ChunkBits) == len(a.chunks) {
@@ -221,14 +230,60 @@ func (a *Arena) At(h Handle) *Packet {
 	return &a.chunks[h>>ChunkBits][h&chunkMask]
 }
 
-// Handle reports a packet's arena handle.
-func (a *Arena) Handle(pkt *Packet) Handle { return pkt.h }
+// Handle reports the packet's arena handle (NoHandle for a packet that
+// did not come from an arena).
+func (p *Packet) Handle() Handle { return p.h }
+
+// Owns reports whether pkt is a slot of this arena, live or free: a
+// packet built as a literal, or taken from another arena, is not. It
+// checks only where pkt lives, so it is no use-after-free guard.
+func (a *Arena) Owns(pkt *Packet) bool {
+	h := pkt.h
+	return h != NoHandle && int(h>>ChunkBits) < len(a.chunks) && &a.chunks[h>>ChunkBits][h&chunkMask] == pkt
+}
 
 // Len reports the number of packet slots currently parked on the free list.
 func (a *Arena) Len() int { return len(a.free) }
 
 // Chunks reports how many slabs the arena has allocated.
 func (a *Arena) Chunks() int { return len(a.chunks) }
+
+// Queue is a FIFO of packet handles. It is pointer-free, so pushes and
+// pops pay no GC write barriers, and it pops through a head index rather
+// than reslicing, so a drained queue reuses its buffer instead of
+// reallocating on the next refill.
+type Queue struct {
+	buf  []Handle
+	head int
+}
+
+// Push appends h at the tail.
+func (q *Queue) Push(h Handle) { q.buf = append(q.buf, h) }
+
+// Empty reports whether the queue holds nothing.
+func (q *Queue) Empty() bool { return q.head >= len(q.buf) }
+
+// Peek returns the head without removing it. The queue must not be empty.
+func (q *Queue) Peek() Handle { return q.buf[q.head] }
+
+// Handles returns the queued handles, head first. The slice aliases the
+// queue's buffer and is valid only until the next Push or Pop.
+func (q *Queue) Handles() []Handle { return q.buf[q.head:] }
+
+// Pop removes and returns the head. The queue must not be empty.
+func (q *Queue) Pop() Handle {
+	h := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	} else if q.head > 1024 && q.head*2 > len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	return h
+}
 
 // CNPBytes is the wire size of a congestion notification packet.
 const CNPBytes units.ByteSize = 64

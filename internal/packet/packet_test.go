@@ -148,7 +148,7 @@ func TestArenaHandlesAndChunks(t *testing.T) {
 		if p.Seq != int32(i) {
 			t.Fatalf("packet %d overwritten (Seq=%d): chunk growth moved live packets", i, p.Seq)
 		}
-		if got := arena.At(arena.Handle(p)); got != p {
+		if got := arena.At(p.Handle()); got != p {
 			t.Fatalf("At(Handle(pkts[%d])) = %p, want %p", i, got, p)
 		}
 	}
@@ -172,5 +172,66 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 		arena.Put(arena.Get())
 	}); allocs > 0 {
 		t.Errorf("steady-state Get/Put allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestArenaReservesNoHandle: the zero handle is never issued, so a
+// zero-value literal packet is recognizably foreign, and Owns tells an
+// arena's own live slots from literals and other arenas' packets.
+func TestArenaReservesNoHandle(t *testing.T) {
+	var arena, other Arena
+	for i := 0; i < 2*chunkSize; i++ {
+		p := arena.Get()
+		if p.Handle() == NoHandle {
+			t.Fatalf("Get #%d issued the reserved NoHandle", i)
+		}
+		if !arena.Owns(p) {
+			t.Fatalf("arena does not own its packet #%d", i)
+		}
+	}
+	if arena.Owns(&Packet{}) {
+		t.Error("arena owns a zero-value literal packet")
+	}
+	if q := other.Get(); arena.Owns(q) {
+		t.Error("arena owns another arena's packet")
+	}
+}
+
+// TestQueueFIFOAcrossCompaction: a long-lived queue that never fully
+// drains compacts its buffer once the consumed prefix dominates; order
+// must survive every compaction, and Handles must list exactly the
+// queued entries head first.
+func TestQueueFIFOAcrossCompaction(t *testing.T) {
+	var q Queue
+	next, want := Handle(1), Handle(1)
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 100; i++ {
+			q.Push(next)
+			next++
+		}
+		for i := 0; i < 90; i++ {
+			if got := q.Pop(); got != want {
+				t.Fatalf("round %d: Pop = %d, want %d", round, got, want)
+			}
+			want++
+		}
+	}
+	hs := q.Handles()
+	if len(hs) != int(next-want) {
+		t.Fatalf("Handles lists %d entries, %d queued", len(hs), next-want)
+	}
+	for i, h := range hs {
+		if h != want+Handle(i) {
+			t.Fatalf("Handles()[%d] = %d, want %d", i, h, want+Handle(i))
+		}
+	}
+	if len(q.buf) > 2*len(hs)+1024 {
+		t.Errorf("buffer holds %d slots for %d queued handles: consumed prefix never compacted", len(q.buf), len(hs))
+	}
+	for !q.Empty() {
+		q.Pop()
+	}
+	if len(q.buf) != 0 || q.head != 0 {
+		t.Errorf("drained queue kept len %d head %d, want a reset buffer", len(q.buf), q.head)
 	}
 }

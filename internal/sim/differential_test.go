@@ -271,6 +271,7 @@ func TestDifferentialAgainstContainerHeap(t *testing.T) {
 
 			var dutLog, refLog []uint64
 			var token uint64
+			hLog := dut.Register(func(a uint64) { dutLog = append(dutLog, a) })
 			// Parallel handle lists: index i refers to the same logical
 			// event in both schedulers.
 			var dutIDs []EventID
@@ -284,12 +285,13 @@ func TestDifferentialAgainstContainerHeap(t *testing.T) {
 						token++
 						tok := token
 						at := base + units.Time(1+r.Intn(5000))
-						// Exercise both payload forms on the DUT; the
-						// reference only has closures.
+						// Exercise both payload forms on the DUT (parked
+						// closure and registered handler); the reference
+						// only has closures.
 						if r.Intn(2) == 0 {
 							dutIDs = append(dutIDs, dut.At(at, func() { dutLog = append(dutLog, tok) }))
 						} else {
-							dutIDs = append(dutIDs, dut.AtArg(at, func(a any) { dutLog = append(dutLog, a.(uint64)) }, tok))
+							dutIDs = append(dutIDs, dut.AtH(at, hLog, tok))
 						}
 						refIDs = append(refIDs, ref.At(at, func() { refLog = append(refLog, tok) }))
 					case 2: // cancel a random handle (live or stale)

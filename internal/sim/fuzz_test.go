@@ -27,6 +27,7 @@ func FuzzSchedulerHybrid(f *testing.F) {
 		s := New()
 		var ids []EventID
 		fired := 0
+		hFired := s.Register(func(uint64) { fired++ })
 		last := s.Now()
 		check := func(i int) {
 			if err := s.DebugCheck(); err != nil {
@@ -51,7 +52,7 @@ func FuzzSchedulerHybrid(f *testing.F) {
 			case 0:
 				ids = append(ids, s.At(s.Now()+d, func() { fired++ }))
 			case 1:
-				ids = append(ids, s.AfterArg(d, func(any) { fired++ }, nil))
+				ids = append(ids, s.AfterH(d, hFired, 0))
 			case 2:
 				if len(ids) > 0 {
 					s.Cancel(ids[int(arg)%len(ids)])

@@ -23,10 +23,13 @@
 // move the event in place wherever it lives (heap index or wheel slot
 // list) instead of leaving dead "ghost" entries queued until their fire
 // time. The heap holds only pointer-free keys (time, sequence, slot) —
-// sift moves are plain memmoves with no write barriers — while callbacks
-// live in the slot table and never move. Hot emitters schedule a
-// preallocated func(arg) + arg pair (AtArg/AfterArg) instead of minting a
-// fresh closure per event.
+// sift moves are plain memmoves with no write barriers — and so does the
+// slot table: an event's payload is a registered handler id plus a 64-bit
+// argument, never a func value or interface. Hot emitters register their
+// callback once (Register) and schedule it by id (AtH/AfterH), so neither
+// scheduling nor dispatch stores a pointer the garbage collector must
+// track. The closure forms (At/After) serve cold call sites: the closure
+// parks in a side table and one built-in handler runs it.
 package sim
 
 import (
@@ -37,7 +40,7 @@ import (
 )
 
 // EventID is a stable handle for a scheduled event, returned by At/After
-// and their Arg variants. It stays valid until the event fires or is
+// and their handler-id variants. It stays valid until the event fires or is
 // cancelled; using it afterwards is safe (Cancel/Reschedule report false)
 // because the handle carries a generation that slot reuse invalidates.
 type EventID uint64
@@ -131,15 +134,22 @@ type slotLoc struct {
 	prev uint32
 }
 
-// slotFn is one handle's event payload. Exactly one of fn/afn is set:
-// fn is the closure form, afn+arg the typed-argument form used by
-// per-packet hot paths (a pointer-shaped arg boxes into the interface
-// without allocating). The payload is written once at schedule time and
-// cleared at release.
+// Handler identifies a callback registered with Register. Events carry
+// the id, not the func value, so the slot table stays pointer-free.
+type Handler uint32
+
+// closureHandler is the built-in handler behind At/After: its argument
+// indexes the closure side table.
+const closureHandler Handler = 0
+
+// slotFn is one handle's event payload: the handler to dispatch and its
+// argument. It must stay pointer-free — the scheduler writes one per
+// event, and a pointer here would make every write pay a GC write barrier
+// while marking runs (TestSlotPayloadPointerFree guards this). The
+// payload is written once at schedule time and read once at dispatch.
 type slotFn struct {
-	fn  func()
-	afn func(any)
-	arg any
+	h   Handler
+	arg uint64
 }
 
 // Scheduler is a discrete-event executor. The zero value is not usable;
@@ -162,6 +172,13 @@ type Scheduler struct {
 	locs      []slotLoc
 	fns       []slotFn
 	freeSlots []uint32
+	// handlers is the dispatch table Handler ids index; entry 0 is
+	// runClosure. closures parks the func values of pending At/After
+	// events (freeClosures recycles their indices), so the only pointer
+	// stores left are on those cold paths.
+	handlers     []func(uint64)
+	closures     []func()
+	freeClosures []uint32
 
 	// Timing wheel state. curB is the level-0 bucket the clock is in
 	// (now>>l0GranBits), curB1 the level-1 bucket (now>>l1GranBits).
@@ -202,6 +219,7 @@ func New() *Scheduler {
 		s.head0[i] = noIdx
 		s.head1[i] = noIdx
 	}
+	s.handlers = []func(uint64){s.runClosure}
 	return s
 }
 
@@ -211,11 +229,13 @@ func New() *Scheduler {
 // differential tests and as the baseline arm of the wheel-vs-heap
 // crossover benchmarks; simulations should use New.
 func NewHeapOnly() *Scheduler {
-	return &Scheduler{
+	s := &Scheduler{
 		heap:    make([]key, pad, pad+61),
 		bandEnd: units.Forever,
 		noWheel: true,
 	}
+	s.handlers = []func(uint64){s.runClosure}
+	return s
 }
 
 // Now reports the current simulated time.
@@ -224,10 +244,49 @@ func (s *Scheduler) Now() units.Time { return s.now }
 // Processed reports how many events have been executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics, because it would silently reorder causality.
+// Register adds fn to the scheduler's dispatch table and returns its id
+// for AtH/AfterH. Hot emitters register once at construction and schedule
+// by id from then on; registrations live as long as the scheduler.
+func (s *Scheduler) Register(fn func(arg uint64)) Handler {
+	s.handlers = append(s.handlers, fn)
+	return Handler(len(s.handlers) - 1)
+}
+
+// AtH schedules handler h to run with arg at absolute time t. Scheduling
+// in the past is a programming error and panics, because it would
+// silently reorder causality.
+func (s *Scheduler) AtH(t units.Time, h Handler, arg uint64) EventID {
+	return s.schedule(t, h, arg)
+}
+
+// AfterH schedules handler h to run with arg d after the current time.
+func (s *Scheduler) AfterH(d units.Time, h Handler, arg uint64) EventID {
+	if d < 0 {
+		d = 0
+	}
+	return s.schedule(s.now+d, h, arg)
+}
+
+// At schedules fn to run at absolute time t. It is meant for cold call
+// sites; per-event paths register a handler and use AtH.
 func (s *Scheduler) At(t units.Time, fn func()) EventID {
-	return s.schedule(t, fn, nil, nil)
+	// Schedule first, so a rejected event (stopped scheduler, or a time
+	// in the past) never parks a closure.
+	id := s.schedule(t, closureHandler, 0)
+	if id == NoEvent {
+		return id
+	}
+	var c uint32
+	if n := len(s.freeClosures); n > 0 {
+		c = s.freeClosures[n-1]
+		s.freeClosures = s.freeClosures[:n-1]
+		s.closures[c] = fn
+	} else {
+		c = uint32(len(s.closures))
+		s.closures = append(s.closures, fn)
+	}
+	s.fns[uint32(id)].arg = uint64(c)
+	return id
 }
 
 // After schedules fn to run d after the current time.
@@ -235,25 +294,23 @@ func (s *Scheduler) After(d units.Time, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(s.now+d, fn, nil, nil)
+	return s.At(s.now+d, fn)
 }
 
-// AtArg schedules fn(arg) at absolute time t. Callers on per-event hot
-// paths preallocate fn once and vary only arg, so scheduling allocates
-// nothing (pointer-shaped args box for free).
-func (s *Scheduler) AtArg(t units.Time, fn func(any), arg any) EventID {
-	return s.schedule(t, nil, fn, arg)
+// runClosure is handler 0: it unparks and runs an At/After closure.
+func (s *Scheduler) runClosure(arg uint64) {
+	fn := s.closures[arg]
+	s.dropClosure(uint32(arg))
+	fn()
 }
 
-// AfterArg schedules fn(arg) to run d after the current time.
-func (s *Scheduler) AfterArg(d units.Time, fn func(any), arg any) EventID {
-	if d < 0 {
-		d = 0
-	}
-	return s.schedule(s.now+d, nil, fn, arg)
+// dropClosure frees one closure side-table entry.
+func (s *Scheduler) dropClosure(c uint32) {
+	s.closures[c] = nil
+	s.freeClosures = append(s.freeClosures, c)
 }
 
-func (s *Scheduler) schedule(t units.Time, fn func(), afn func(any), arg any) EventID {
+func (s *Scheduler) schedule(t units.Time, h Handler, arg uint64) EventID {
 	if s.stopped {
 		// A stopped scheduler has drained its queue and retains nothing;
 		// accepting new events would silently re-grow it from stale
@@ -274,14 +331,7 @@ func (s *Scheduler) schedule(t units.Time, fn func(), afn func(any), arg any) Ev
 		s.locs = append(s.locs, slotLoc{gen: 1})
 		s.fns = append(s.fns, slotFn{})
 	}
-	// releaseSlot nil-cleared the payload, so store only the form in
-	// use: fewer pointer writes, fewer GC write barriers per event.
-	pf := &s.fns[slot]
-	if fn != nil {
-		pf.fn = fn
-	} else {
-		pf.afn, pf.arg = afn, arg
-	}
+	s.fns[slot] = slotFn{h: h, arg: arg}
 	ref := &s.locs[slot]
 	sq := uint32(s.seq)
 	ref.at, ref.sq = t, sq
@@ -445,13 +495,16 @@ func (s *Scheduler) Scheduled(id EventID) bool {
 
 // Cancel removes a pending event from the queue in place — an O(1) list
 // splice for wheel-resident events, one sift for heap-resident ones —
-// dropping its callback and argument references immediately. It reports
-// whether the handle was live; cancelling an already-fired or
-// already-cancelled event is a no-op.
+// dropping a parked closure immediately. It reports whether the handle
+// was live; cancelling an already-fired or already-cancelled event is a
+// no-op.
 func (s *Scheduler) Cancel(id EventID) bool {
 	slot, ok := s.lookup(id)
 	if !ok {
 		return false
+	}
+	if pf := &s.fns[slot]; pf.h == closureHandler {
+		s.dropClosure(uint32(pf.arg))
 	}
 	if i := s.locs[slot].idx; i >= 0 {
 		s.removeAt(int(i))
@@ -493,21 +546,15 @@ func (s *Scheduler) Reschedule(id EventID, t units.Time) bool {
 	return true
 }
 
-// releaseSlot frees a slot, drops its callback and argument references,
-// and invalidates every outstanding handle to it by bumping the
-// generation (skipping 0, which marks NoEvent).
+// releaseSlot frees a slot and invalidates every outstanding handle to it
+// by bumping the generation (skipping 0, which marks NoEvent). The
+// payload is plain data and is simply overwritten on reuse.
 func (s *Scheduler) releaseSlot(slot uint32) {
 	ref := &s.locs[slot]
 	ref.idx = -1
 	ref.gen++
 	if ref.gen == 0 {
 		ref.gen = 1
-	}
-	pf := &s.fns[slot]
-	if pf.fn != nil {
-		pf.fn = nil
-	} else {
-		pf.afn, pf.arg = nil, nil
 	}
 	s.freeSlots = append(s.freeSlots, slot)
 }
@@ -660,6 +707,9 @@ func (s *Scheduler) Stop() {
 		s.wheelCount = 0
 		s.count1 = 0
 	}
+	clear(s.closures)
+	s.closures = s.closures[:0]
+	s.freeClosures = s.freeClosures[:0]
 }
 
 // Stopped reports whether the scheduler is stopped (Stop was called and
@@ -717,16 +767,10 @@ func (s *Scheduler) RunUntil(deadline units.Time) {
 func (s *Scheduler) runBatch(at units.Time) {
 	s.now = at
 	for {
-		top := s.heap[pad]
-		pf := &s.fns[top.slotIdx()]
-		fn, afn, arg := pf.fn, pf.afn, pf.arg
+		pf := s.fns[s.heap[pad].slotIdx()]
 		s.popTop()
 		s.processed++
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
+		s.handlers[pf.h](pf.arg)
 		if s.stopped || len(s.heap) <= pad || s.heap[pad].at != at {
 			return
 		}
@@ -790,15 +834,10 @@ func (s *Scheduler) advance(deadline units.Time) bool {
 				s.occ0[b>>6] &^= 1 << (uint(b) & 63)
 				s.wheelCount--
 				s.now = s.locs[slot].at
-				pf := &s.fns[slot]
-				fn, afn, arg := pf.fn, pf.afn, pf.arg
+				pf := s.fns[slot]
 				s.releaseSlot(slot)
 				s.processed++
-				if fn != nil {
-					fn()
-				} else {
-					afn(arg)
-				}
+				s.handlers[pf.h](pf.arg)
 				if s.stopped || len(s.heap) > pad {
 					return true
 				}
@@ -835,8 +874,8 @@ func (s *Scheduler) DebugCheck() error {
 		if int(ref.idx) != i {
 			return fmt.Errorf("sim: slot %d backpointer %d, heap position %d", slot, ref.idx, i)
 		}
-		if pf := &s.fns[slot]; pf.fn == nil && pf.afn == nil {
-			return fmt.Errorf("sim: queued slot %d has no callback", slot)
+		if err := s.checkPayload(slot); err != nil {
+			return err
 		}
 		live++
 	}
@@ -868,8 +907,8 @@ func (s *Scheduler) DebugCheck() error {
 				if d := int64(ref.at)>>w.gran - w.cur; d < 1 || d > wheelSize {
 					return fmt.Errorf("sim: wheel L%d bucket %d event at %v outside window (distance %d)", lvl, b, ref.at, d)
 				}
-				if pf := &s.fns[cur]; pf.fn == nil && pf.afn == nil {
-					return fmt.Errorf("sim: wheel slot %d has no callback", cur)
+				if err := s.checkPayload(cur); err != nil {
+					return err
 				}
 				prev = cur
 				inWheel++
@@ -894,12 +933,42 @@ func (s *Scheduler) DebugCheck() error {
 		if ref.idx != -1 {
 			return fmt.Errorf("sim: free slot %d still points at location %d", slot, ref.idx)
 		}
-		if pf := &s.fns[slot]; pf.fn != nil || pf.afn != nil || pf.arg != nil {
-			return fmt.Errorf("sim: free slot %d retains a callback or argument", slot)
-		}
 	}
 	if live+len(s.freeSlots) != len(s.locs) {
 		return fmt.Errorf("sim: %d live + %d free != %d slots", live, len(s.freeSlots), len(s.locs))
+	}
+	// Every parked closure belongs to a queued event, and every other
+	// side-table entry is free and retains nothing.
+	parked := 0
+	for _, fn := range s.closures {
+		if fn != nil {
+			parked++
+		}
+	}
+	if parked+len(s.freeClosures) != len(s.closures) {
+		return fmt.Errorf("sim: %d parked + %d free != %d closure entries", parked, len(s.freeClosures), len(s.closures))
+	}
+	queued := 0
+	for i := range s.locs {
+		if s.locs[i].idx != -1 && s.fns[i].h == closureHandler {
+			queued++
+		}
+	}
+	if queued != parked {
+		return fmt.Errorf("sim: %d queued closure events but %d parked closures", queued, parked)
+	}
+	return nil
+}
+
+// checkPayload verifies a queued slot dispatches to a registered handler
+// and, for a closure event, to a parked closure.
+func (s *Scheduler) checkPayload(slot uint32) error {
+	pf := &s.fns[slot]
+	if int(pf.h) >= len(s.handlers) {
+		return fmt.Errorf("sim: queued slot %d has unregistered handler %d", slot, pf.h)
+	}
+	if pf.h == closureHandler && (pf.arg >= uint64(len(s.closures)) || s.closures[pf.arg] == nil) {
+		return fmt.Errorf("sim: queued slot %d has no parked closure", slot)
 	}
 	return nil
 }
@@ -910,11 +979,11 @@ func (s *Scheduler) DebugCheck() error {
 //
 // Arm of an already-armed timer is one in-place Reschedule — the queue
 // never grows, and no closure is created: the fire callback is
-// preallocated once at NewTimer.
+// registered once at NewTimer.
 type Timer struct {
 	s       *Scheduler
 	fn      func()
-	fireFn  func() // preallocated adapter handed to the scheduler
+	h       Handler // the timer's fire handler
 	id      EventID
 	armedAt units.Time // fire time of the live arm; Never when idle
 }
@@ -922,7 +991,7 @@ type Timer struct {
 // NewTimer returns an unarmed timer that runs fn when it fires.
 func NewTimer(s *Scheduler, fn func()) *Timer {
 	t := &Timer{s: s, fn: fn, armedAt: units.Never}
-	t.fireFn = t.fire
+	t.h = s.Register(func(uint64) { t.fire() })
 	return t
 }
 
@@ -939,7 +1008,7 @@ func (t *Timer) Arm(d units.Time) {
 		t.armedAt = at
 		return
 	}
-	t.id = t.s.At(at, t.fireFn)
+	t.id = t.s.AtH(at, t.h, 0)
 	if t.id == NoEvent {
 		t.armedAt = units.Never
 		return

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
+	"github.com/tcdnet/tcd/internal/ptrfree"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -64,6 +66,10 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		s.At(5, func() {})
 	})
 	s.Run()
+	// The rejected event must not leave its closure parked.
+	if err := s.DebugCheck(); err != nil {
+		t.Errorf("after a rejected At: %v", err)
+	}
 }
 
 func TestAfterClampsNegative(t *testing.T) {
@@ -423,8 +429,8 @@ func TestPostStopArmAndRescheduleAreNoOps(t *testing.T) {
 	if got := s.At(10*units.Microsecond, func() { fired++ }); got != NoEvent {
 		t.Errorf("At after Stop returned %v, want NoEvent", got)
 	}
-	if got := s.AfterArg(units.Microsecond, func(any) { fired++ }, nil); got != NoEvent {
-		t.Errorf("AfterArg after Stop returned %v, want NoEvent", got)
+	if got := s.AfterH(units.Microsecond, s.Register(func(uint64) { fired++ }), 0); got != NoEvent {
+		t.Errorf("AfterH after Stop returned %v, want NoEvent", got)
 	}
 	// Stale handles cannot be revived.
 	if s.Reschedule(id, 20*units.Microsecond) {
@@ -478,5 +484,21 @@ func TestDebugCheckOnChurn(t *testing.T) {
 	s.Run()
 	if err := s.DebugCheck(); err != nil {
 		t.Fatalf("after run: %v", err)
+	}
+}
+
+// TestSlotPayloadPointerFree guards the scheduler's per-event stores: the
+// heap key, the slot location and the slot payload must stay
+// pointer-free, or every schedule and dispatch pays a GC write barrier
+// again.
+func TestSlotPayloadPointerFree(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(key{}),
+		reflect.TypeOf(slotLoc{}),
+		reflect.TypeOf(slotFn{}),
+	} {
+		if ptrfree.HasPointers(typ) {
+			t.Errorf("%v contains pointers", typ)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"slices"
+
 	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -65,12 +67,30 @@ func (t *Tracer) decimate() {
 	t.decims++
 }
 
-// Start schedules the sampling loop (call after registering probes).
+// presizeMax bounds how many samples Start reserves per series up front;
+// a run with more ticks (an uncapped, very long horizon) grows its series
+// by append past this point.
+const presizeMax = 1 << 16
+
+// Start schedules the sampling loop (call after registering probes). It
+// reserves every series' full sample count — the ticks until the horizon,
+// or the cap when one is set — so sampling never grows a slice mid-run.
 func (t *Tracer) Start() {
 	if t.started {
 		return
 	}
 	t.started = true
+	n := 1
+	if now := t.sched.Now(); t.horizon > now {
+		n += int(min((t.horizon-now)/t.interval, presizeMax))
+	}
+	if t.capN > 0 {
+		n = min(n, t.capN)
+	}
+	for _, s := range t.series {
+		s.T = slices.Grow(s.T, n)
+		s.V = slices.Grow(s.V, n)
+	}
 	var tick func()
 	tick = func() {
 		now := t.sched.Now()

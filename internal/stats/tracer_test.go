@@ -89,3 +89,53 @@ func TestTracerCapAboveRunLengthIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerPresizedTicksAllocateNothing: Start reserves each series for
+// the whole run, so sampling ticks never grow a slice, and the presized
+// series hold exactly the samples the append-grown ones did.
+func TestTracerPresizedTicksAllocateNothing(t *testing.T) {
+	const interval = 10 * units.Microsecond
+	sch := sim.New()
+	tr := NewTracer(sch, interval, 10*units.Millisecond) // 1001 ticks
+	x := 0.0
+	a := tr.Add("a", func() float64 { x += 0.5; return x })
+	b := tr.Add("b", func() float64 { return 2 })
+	c := tr.Add("c", func() float64 { return -x })
+	tr.Start()
+	// Each measured call runs 50 ticks; growing three series' T and V
+	// by append would reallocate at every power of two along the way.
+	allocs := testing.AllocsPerRun(10, func() { sch.RunUntil(sch.Now() + 50*interval) })
+	if allocs != 0 {
+		t.Errorf("sampling ticks allocate %.1f/op, want 0", allocs)
+	}
+	sch.Run()
+	for name, s := range map[string]*Series{"a": a, "b": b, "c": c} {
+		if len(s.T) != 1001 || len(s.V) != 1001 {
+			t.Fatalf("series %s has %d/%d samples, want 1001", name, len(s.T), len(s.V))
+		}
+	}
+	for i := range a.T {
+		want := 0.5 * float64(i+1)
+		if a.T[i] != units.Time(i)*interval || a.V[i] != want || b.V[i] != 2 || c.V[i] != -want {
+			t.Fatalf("sample %d = (%v, %v, %v, %v), want (%v, %v, 2, %v)",
+				i, a.T[i], a.V[i], b.V[i], c.V[i], units.Time(i)*interval, want, -want)
+		}
+	}
+}
+
+// TestTracerPresizeRespectsCap: with a cap set, Start reserves only the
+// cap, and decimation (which works in place) never grows past it.
+func TestTracerPresizeRespectsCap(t *testing.T) {
+	sch := sim.New()
+	tr := NewTracer(sch, units.Microsecond, 100*units.Millisecond)
+	tr.SetCap(64)
+	s := tr.Add("x", func() float64 { return 1 })
+	tr.Start()
+	if cap(s.T) != 64 || cap(s.V) != 64 {
+		t.Fatalf("presized capacity %d/%d, want the cap 64", cap(s.T), cap(s.V))
+	}
+	sch.Run()
+	if cap(s.T) != 64 || cap(s.V) != 64 {
+		t.Errorf("capacity grew to %d/%d during a capped run", cap(s.T), cap(s.V))
+	}
+}
